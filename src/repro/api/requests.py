@@ -357,24 +357,27 @@ class EnsembleRequest(AnalysisRequest):
         return _warm_start(x0=np.array(result.x[-1], dtype=float))
 
     def _shard_size(self):
-        """Scenarios per shard for the request's resolved backend.
+        """Scenarios per shard for the request's resolved backend and
+        kernel mode.
 
         ``None`` disables sharding — either the backend is a device (the
-        whole batch belongs in one march) or the backend string is
-        invalid (``run()`` then surfaces the configuration error instead
-        of the service masking it at shard time).
+        whole batch belongs in one march) or the backend/kernel string
+        is invalid (``run()`` then surfaces the configuration error
+        instead of the service masking it at shard time).
         """
         from repro.backend import resolve_backend
         from repro.errors import ConfigurationError
+        from repro.kernels.backends import resolve_mode
 
         opts = self.options
         kernel = getattr(opts, "kernel", "auto") if opts is not None \
             else "auto"
         try:
             backend, _ = resolve_backend(getattr(opts, "backend", None))
+            mode, _ = resolve_mode(kernel)
         except ConfigurationError:
             return None
-        return backend.ensemble_shard_size(kernel)
+        return backend.ensemble_shard_size(mode)
 
     def shards(self):
         from repro.errors import ValidationError

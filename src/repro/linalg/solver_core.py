@@ -194,9 +194,9 @@ class SolverOptionsMixin:
         an explicit rung tuple — see :mod:`repro.resilience.recovery`).
     kernel:
         Compiled-kernel policy for engines with a generated fast path
-        (see :mod:`repro.kernels`): ``"auto"`` — numba if importable,
-        else the host C toolchain, else the python reference path;
-        ``"numba"``/``"c"`` — require that backend
+        (see :mod:`repro.kernels`): ``"auto"`` — the host C toolchain
+        if one is on PATH, else the python reference path; ``"c"`` —
+        require the C backend
         (:class:`~repro.errors.ConfigurationError` when unavailable);
         ``"python"`` — force the reference path.  Engines without a
         kernelised loop accept and ignore the option.

@@ -3,21 +3,19 @@
 Covers the four contracts of the kernel layer:
 
 * **Parity** — the generated per-device/whole-circuit ``q/f/dq/df``
-  kernels must match the NumPy reference path on randomized states, for
-  the generated-python oracle and for every compiled backend available
-  on the host.
+  C kernels must match the NumPy reference path on randomized states.
 * **Trajectory equivalence** — a fixed-step chord transient run through
   the compiled sweep must match the python march within solver
   tolerance, with identical Newton iteration/factorization counts.
-* **Graceful degradation** — ``kernel="auto"`` silently falls back when
-  numba is masked out, while an explicit ``kernel="numba"`` raises a
-  clear :class:`~repro.errors.ConfigurationError`.
+* **Graceful degradation** — ``kernel="auto"`` silently falls back to
+  the NumPy engine when no C compiler is on PATH, while an explicit
+  ``kernel="c"`` raises a clear
+  :class:`~repro.errors.ConfigurationError`.
 * **Slow-path interop** — divergence inside a compiled sweep hands the
   step back to the python recovery ladder; failure context
   (checkpoint + partial result) is unchanged.
 """
 
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -39,7 +37,6 @@ from repro.kernels import (
     build_kernel,
     maybe_kernelize_batch,
     probe_cc,
-    probe_numba,
     resolve_mode,
     spec_for_dae,
 )
@@ -51,8 +48,8 @@ from repro.transient import (
 )
 
 needs_backend = pytest.mark.skipif(
-    not (probe_numba() or probe_cc()),
-    reason="no compiled backend on this host (no numba, no C toolchain)",
+    not probe_cc(),
+    reason="no compiled backend on this host (no C toolchain)",
 )
 
 
@@ -65,15 +62,6 @@ def _fixture_daes():
         "ring": ring_oscillator_circuit().to_dae(),
         "mixer": rc_diode_mixer_circuit().to_dae(),
     }
-
-
-def _available_modes():
-    modes = ["python"]
-    if probe_numba():
-        modes.append("numba")
-    if probe_cc():
-        modes.append("c")
-    return modes
 
 
 def _check_parity(dae, impl, rng, rtol=1e-9):
@@ -98,24 +86,14 @@ def _check_parity(dae, impl, rng, rtol=1e-9):
 
 
 class TestKernelParity:
-    @pytest.mark.parametrize("name", list(_fixture_daes()))
-    def test_generated_python_matches_numpy(self, name, rng):
-        """The generated-python oracle matches q/f/dq/df everywhere."""
-        dae = _fixture_daes()[name]
-        spec, why = spec_for_dae(dae)
-        assert spec is not None, why
-        built = build_kernel(spec, "python")
-        _check_parity(dae, built.impl, rng)
-
     @needs_backend
     @pytest.mark.parametrize("name", list(_fixture_daes()))
     def test_compiled_backends_match_numpy(self, name, rng):
         dae = _fixture_daes()[name]
         spec, _ = spec_for_dae(dae)
-        for mode in _available_modes()[1:]:
-            built = build_kernel(spec, mode)
-            _check_parity(dae, built.impl, rng)
+        _check_parity(dae, build_kernel(spec, "c").impl, rng)
 
+    @needs_backend
     def test_whole_circuit_residual_matches_dae(self, rng):
         """Fused step residual r = alpha*q + rhs + beta*(f - b) parity.
 
@@ -125,7 +103,7 @@ class TestKernelParity:
         """
         dae = rc_diode_mixer_circuit().to_dae()
         spec, _ = spec_for_dae(dae)
-        built = build_kernel(spec, "python")
+        built = build_kernel(spec, "c")
         n = dae.n
         p = np.ascontiguousarray(spec.params_rows[0])
         qv, fv = np.empty(n), np.empty(n)
@@ -243,36 +221,38 @@ class TestTrajectoryEquivalence:
 
 
 class TestGracefulFallback:
-    def test_masked_numba_fails_explicit_request(self, monkeypatch):
-        monkeypatch.setitem(sys.modules, "numba", None)
-        assert not probe_numba()
-        with pytest.raises(ConfigurationError, match="jit"):
-            resolve_mode("numba")
-        dae = VanDerPolDae(mu=0.5)
-        with pytest.raises(ConfigurationError, match="numba"):
+    def test_no_compiler_fails_explicit_request(self, monkeypatch):
+        monkeypatch.setattr("repro.kernels.backends._find_cc", lambda: None)
+        assert not probe_cc()
+        with pytest.raises(ConfigurationError, match="C compiler"):
+            resolve_mode("c")
+        with pytest.raises(ConfigurationError, match="C compiler"):
             simulate_transient(
-                dae, [0.5, 0.0], 0.0, 1.0,
-                TransientOptions(dt=0.01, kernel="numba"),
+                VanDerPolDae(mu=0.5), [0.5, 0.0], 0.0, 1.0,
+                TransientOptions(dt=0.01, kernel="c"),
             )
 
-    def test_masked_numba_keeps_auto_running(self, monkeypatch):
-        monkeypatch.setitem(sys.modules, "numba", None)
-        dae = VanDerPolDae(mu=0.5)
+    def test_no_compiler_keeps_auto_running(self, monkeypatch):
+        monkeypatch.setattr("repro.kernels.backends._find_cc", lambda: None)
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
         result = simulate_transient(
-            dae, [0.5, 0.0], 0.0, 1.0,
+            VanDerPolDae(mu=0.5), [0.5, 0.0], 0.0, 1.0,
             TransientOptions(dt=0.01, kernel="auto"),
         )
         info = result.stats["kernel"]
-        assert info["mode"] in ("c", "python")  # silently degraded
+        assert info["mode"] == "python"  # silently degraded
+        assert "no C compiler" in info["reason"]
+        assert info["compiled_steps"] == 0
         assert np.isfinite(np.asarray(result.x)).all()
 
     def test_invalid_kernel_value_raises(self):
         dae = VanDerPolDae(mu=0.5)
-        with pytest.raises(ConfigurationError, match="not a valid mode"):
-            simulate_transient(
-                dae, [0.5, 0.0], 0.0, 1.0,
-                TransientOptions(dt=0.01, kernel="fortran"),
-            )
+        for kernel in ("fortran", "numba"):
+            with pytest.raises(ConfigurationError, match="not a valid mode"):
+                simulate_transient(
+                    dae, [0.5, 0.0], 0.0, 1.0,
+                    TransientOptions(dt=0.01, kernel=kernel),
+                )
 
     def test_explicit_python_never_compiles(self):
         result = simulate_transient(
@@ -300,7 +280,7 @@ class TestGracefulFallback:
             TransientOptions(dt=2e-8, adaptive=True, kernel="auto"),
         )
         info = result.stats["kernel"]
-        if probe_numba() or probe_cc():
+        if probe_cc():
             assert info["mode"] == "python"
             assert "time-invariant" in info["reason"]
 
@@ -325,7 +305,7 @@ class TestSlowPathInterop:
         assert exc.partial_result.t[-1] < 0.5
         stats = exc.partial_result.stats
         assert stats["newton_failures"] >= 1
-        if probe_numba() or probe_cc():
+        if probe_cc():
             # The clean prefix ran compiled; the poisoned region fell
             # back to python and its failure accounting.
             assert stats["kernel"]["compiled_steps"] > 0

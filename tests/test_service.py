@@ -242,6 +242,15 @@ class TestWorkerPool:
         assert _ensemble_request(batch=8).shards() is None
         assert _ensemble_request(batch=8, kernel="python").shards() is None
 
+    def test_auto_request_shards_by_resolved_kernel_mode(self, monkeypatch):
+        # An "auto" request that resolves to the NumPy engine (here via
+        # the env override; likewise on a host without a C compiler)
+        # shards like an explicit kernel="python" request.
+        monkeypatch.setenv("REPRO_KERNEL", "python")
+        shards = _ensemble_request(batch=32, kernel="auto").shards()
+        assert shards is not None and len(shards) == 4
+        assert all(s.dae.batch_size == 8 for s in shards)
+
     def test_pooled_single_job_round_trips(self):
         with SimulationService(workers=2) as service:
             job = service.submit(_transient_request(t_stop=1.0))
