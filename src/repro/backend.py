@@ -180,10 +180,6 @@ class ArrayBackend:
         """View/move a backend array back to host NumPy (may alias)."""
         return np.asarray(values)
 
-    def to_host_copy(self, values):
-        """Host NumPy copy of a backend array (never aliases)."""
-        return np.array(self.to_host(values))
-
     # -- policy ------------------------------------------------------------
 
     def ensemble_shard_size(self, kernel_mode):

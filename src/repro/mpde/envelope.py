@@ -26,6 +26,7 @@ from repro.linalg.sparse_tools import kron_diffmat
 from repro.resilience.checkpoint import Checkpoint, CheckpointManager
 from repro.spectral.diffmat import fourier_differentiation_matrix
 from repro.spectral.grid import collocation_grid
+from repro.transient.results import TrajectoryRecorder
 from repro.utils.validation import check_odd
 from repro.wampde.bivariate import BivariateWaveform
 
@@ -245,6 +246,9 @@ def solve_mpde_envelope(dae, forcing, initial_samples, t2_start, t2_stop,
         every=int(getattr(opts, "checkpoint_every", 0) or 0),
         path=getattr(opts, "checkpoint_path", None),
     )
+    # The final step's t2, computed exactly as the march computes it, so
+    # the recorder always keeps the last row.
+    t2_end = t2_start + num_steps * h
     if resume_from is not None:
         checkpoint = (
             resume_from
@@ -259,23 +263,26 @@ def solve_mpde_envelope(dae, forcing, initial_samples, t2_start, t2_stop,
         payload = checkpoint.payload
         x_samples = np.array(payload["x_samples"], dtype=float)
         t2 = float(payload["t2"])
-        stored_t2 = list(payload["stored_t2"])
-        stored = [np.array(s, dtype=float) for s in payload["stored"]]
+        recorder = TrajectoryRecorder(
+            payload["stored_t2"], payload["stored"], opts.store_every,
+            t2_end, carried=int(payload["since_store"]),
+        )
         stats = dict(payload["stats"])
-        since_store = int(payload["since_store"])
         start_step = int(checkpoint.step)
         stepper.restore(payload["solver"], payload["factor_meta"])
     else:
         x_samples = initial_samples.copy()
         t2 = float(t2_start)
-        stored_t2 = [t2]
-        stored = [x_samples.copy()]
+        recorder = TrajectoryRecorder(
+            [t2], [x_samples], opts.store_every, t2_end
+        )
         stats = {"steps": 0, "newton_iterations": 0}
-        since_store = 0
         start_step = 0
+    recorder.reserve(num_steps - start_step)
     rhs_old, q_old = fast_terms(x_samples, t2)
 
     def take_checkpoint():
+        stored_t2, stored = recorder.snapshot()
         return Checkpoint(
             kind="mpde_envelope",
             step=stats["steps"],
@@ -284,10 +291,10 @@ def solve_mpde_envelope(dae, forcing, initial_samples, t2_start, t2_stop,
             payload={
                 "x_samples": x_samples.copy(),
                 "t2": t2,
-                "stored_t2": list(stored_t2),
-                "stored": [s.copy() for s in stored],
+                "stored_t2": stored_t2,
+                "stored": stored,
                 "stats": dict(stats),
-                "since_store": since_store,
+                "since_store": recorder.carried,
                 "t2_start": t2_start,
                 "t2_stop": t2_stop,
                 "num_steps": num_steps,
@@ -315,7 +322,7 @@ def solve_mpde_envelope(dae, forcing, initial_samples, t2_start, t2_stop,
                 residual_norm=exc.residual_norm,
                 checkpoint=manager.take(take_checkpoint),
                 partial_result=MpdeEnvelopeResult(
-                    stored_t2, stored, forcing.period1,
+                    *recorder.arrays(), forcing.period1,
                     dae.variable_names, partial_stats,
                 ),
             ) from exc
@@ -323,19 +330,14 @@ def solve_mpde_envelope(dae, forcing, initial_samples, t2_start, t2_stop,
         t2 = t2_new
         rhs_old, q_old = fast_terms(x_samples, t2)
         stats["steps"] += 1
-        since_store += 1
-        if since_store >= opts.store_every or step == num_steps - 1:
-            stored_t2.append(t2)
-            stored.append(x_samples.copy())
-            since_store = 0
+        recorder.record(t2, x_samples)
         manager.offer(stats["steps"], take_checkpoint)
 
     stats["solver"] = stepper.core.stats.as_dict()
     if stepper.core.recovery:
         stats["recovery"] = stepper.core.recovery.as_dict()
     return MpdeEnvelopeResult(
-        np.asarray(stored_t2),
-        np.asarray(stored),
+        *recorder.arrays(),
         forcing.period1,
         dae.variable_names,
         stats,

@@ -44,7 +44,7 @@ from repro.linalg.solver_core import (
 from repro.linalg.transient_assembler import TransientStepAssembler
 from repro.resilience.checkpoint import Checkpoint, CheckpointManager
 from repro.transient.integrators import get_integrator
-from repro.transient.results import TransientResult
+from repro.transient.results import TrajectoryRecorder, TransientResult
 from repro.utils.validation import check_positive
 
 #: Forcing grids beyond this many steps are evaluated per step instead of
@@ -407,10 +407,11 @@ def simulate_transient(dae, x0, t_start, t_stop, options=None,
             for ht, hx, hq, hfb in payload["history"]
         ]
         x = history[-1][1].copy()
-        stored_t = list(payload["stored_t"])
-        stored_x = [np.array(v) for v in payload["stored_x"]]
+        recorder = TrajectoryRecorder(
+            payload["stored_t"], payload["stored_x"], opts.store_every,
+            t_stop, carried=payload["accepted_since_store"],
+        )
         stats = dict(payload["stats"])
-        accepted_since_store = payload["accepted_since_store"]
         controller.restore(payload["solver"], payload.get("factor_meta"))
         t_grid = b_grid = None
         grid_idx = payload["grid_idx"]
@@ -452,8 +453,7 @@ def simulate_transient(dae, x0, t_start, t_stop, options=None,
         if not opts.adaptive:
             t_grid, b_grid = _forcing_grid(dae, t_start, t_stop, dt)
 
-        stored_t = [t]
-        stored_x = [x.copy()]
+        recorder = TrajectoryRecorder([t], [x], opts.store_every, t_stop)
         stats = {
             "steps": 0,
             "rejected_steps": 0,
@@ -462,7 +462,6 @@ def simulate_transient(dae, x0, t_start, t_stop, options=None,
             "newton_fallbacks": 0,
             "jacobian_factorizations": 0,
         }
-        accepted_since_store = 0
         if warm_start is not None:
             warm_state = getattr(warm_start, "solver_state", None)
             if warm_state:
@@ -479,6 +478,9 @@ def simulate_transient(dae, x0, t_start, t_stop, options=None,
                 controller._jac_meta = (
                     w_alpha, w_beta, np.array(w_x, dtype=float)
                 )
+
+    if t_grid is not None:
+        recorder.reserve(t_grid.shape[0] - grid_idx)
 
     # Compiled fast path (ROADMAP item 1).  Resolution runs even for
     # ineligible runs so an explicitly requested unavailable backend
@@ -509,6 +511,7 @@ def simulate_transient(dae, x0, t_start, t_stop, options=None,
     def take_checkpoint():
         # Reads the enclosing locals at call time, so it always snapshots
         # the last *accepted* state (failed attempts never advance them).
+        stored_t, stored_x = recorder.snapshot()
         return Checkpoint(
             kind="transient",
             step=stats["steps"],
@@ -519,9 +522,9 @@ def simulate_transient(dae, x0, t_start, t_stop, options=None,
                     (float(ht), np.array(hx), np.array(hq), np.array(hfb))
                     for ht, hx, hq, hfb in history
                 ],
-                "stored_t": list(stored_t),
-                "stored_x": [np.array(v) for v in stored_x],
-                "accepted_since_store": accepted_since_store,
+                "stored_t": stored_t,
+                "stored_x": stored_x,
+                "accepted_since_store": recorder.carried,
                 "stats": dict(stats),
                 "grid_active": t_grid is not None,
                 "grid_idx": grid_idx,
@@ -544,10 +547,7 @@ def simulate_transient(dae, x0, t_start, t_stop, options=None,
         stats_out["jacobian_factorizations"] = controller.factorizations()
         stats_out["solver"] = controller.core.stats.as_dict()
         partial = TransientResult(
-            np.asarray(stored_t),
-            np.asarray(stored_x),
-            dae.variable_names,
-            stats_out,
+            *recorder.arrays(), dae.variable_names, stats_out
         )
         raise SimulationError(
             message,
@@ -571,8 +571,7 @@ def simulate_transient(dae, x0, t_start, t_stop, options=None,
         # non-zero status hands the offending step (and the rest of the
         # run) back to the python loop below — the recovery ladder and
         # failure semantics are untouched.
-        nonlocal t, x, dt, history, grid_idx, accepted_since_store
-        nonlocal kernel_runner
+        nonlocal t, x, dt, history, grid_idx, kernel_runner
         runner = kernel_runner
         tg = np.ascontiguousarray(t_grid, dtype=float)
         bg = np.ascontiguousarray(b_grid, dtype=float)
@@ -601,21 +600,8 @@ def simulate_transient(dae, x0, t_start, t_stop, options=None,
             core_stats.wall_time_s += runner.last_wall
             runner.reset_counters()
             if done:
-                out = runner.out_x
                 last = grid_idx + done
-                if opts.store_every == 1:
-                    stored_t.extend(tg[grid_idx:last])
-                    stored_x.extend(out[:done].copy())
-                    accepted_since_store = 0
-                else:
-                    for j in range(done):
-                        accepted_since_store += 1
-                        tj = tg[grid_idx + j]
-                        if (accepted_since_store >= opts.store_every
-                                or tj >= t_stop):
-                            stored_t.append(tj)
-                            stored_x.append(out[j].copy())
-                            accepted_since_store = 0
+                recorder.record_block(tg[grid_idx:last], runner.out_x[:done])
                 t = tg[last - 1]
                 prev = tg[last - 2] if last >= 2 else t_start
                 dt = min(float(tg[last - 1] - prev), opts.dt_max)
@@ -649,8 +635,7 @@ def simulate_transient(dae, x0, t_start, t_stop, options=None,
         # runner.reg[2] both ways, and a status-4 underflow exits
         # *without* committing the final shrink, so the python replay of
         # the offending attempt reproduces the exact failure.
-        nonlocal t, x, dt, history, accepted_since_store
-        nonlocal kernel_runner
+        nonlocal t, x, dt, history, kernel_runner
         runner = kernel_runner
         b_row = np.ascontiguousarray(b_const, dtype=float)
         runner.load(history, controller)
@@ -680,19 +665,9 @@ def simulate_transient(dae, x0, t_start, t_stop, options=None,
             runner.reset_counters()
             dt = float(runner.reg[2])
             if done:
-                if opts.store_every == 1:
-                    stored_t.extend(runner.out_t[:done])
-                    stored_x.extend(runner.out_x[:done].copy())
-                    accepted_since_store = 0
-                else:
-                    for j in range(done):
-                        accepted_since_store += 1
-                        tj = float(runner.out_t[j])
-                        if (accepted_since_store >= opts.store_every
-                                or tj >= t_stop):
-                            stored_t.append(tj)
-                            stored_x.append(runner.out_x[j].copy())
-                            accepted_since_store = 0
+                recorder.record_block(
+                    runner.out_t[:done], runner.out_x[:done]
+                )
                 t = float(runner.out_t[done - 1])
                 history = runner.export_history()
                 x = history[-1][1].copy()
@@ -800,11 +775,7 @@ def simulate_transient(dae, x0, t_start, t_stop, options=None,
             grid_idx += 1
 
         stats["steps"] += 1
-        accepted_since_store += 1
-        if accepted_since_store >= opts.store_every or t >= t_stop:
-            stored_t.append(t)
-            stored_x.append(x.copy())
-            accepted_since_store = 0
+        recorder.record(t, x)
 
         dt = min(dt_next, opts.dt_max)
         manager.offer(stats["steps"], take_checkpoint)
@@ -826,12 +797,7 @@ def simulate_transient(dae, x0, t_start, t_stop, options=None,
         "solver_state": controller.core.export_warm_state(),
     }
 
-    return TransientResult(
-        np.asarray(stored_t),
-        np.asarray(stored_x),
-        dae.variable_names,
-        stats,
-    )
+    return TransientResult(*recorder.arrays(), dae.variable_names, stats)
 
 
 @dataclass
@@ -958,8 +924,8 @@ def simulate_transient_with_sensitivity(dae, x0, t_start, t_stop,
         bp0,
     )]
 
-    stored_t = [t]
-    stored_x = [x.copy()]
+    recorder = TrajectoryRecorder([t], [x], opts.store_every, t_stop)
+    recorder.reserve(t_grid.size)
     stats = {
         "steps": 0,
         "rejected_steps": 0,
@@ -968,7 +934,6 @@ def simulate_transient_with_sensitivity(dae, x0, t_start, t_stop,
         "newton_fallbacks": 0,
         "jacobian_factorizations": 0,
     }
-    accepted_since_store = 0
     history_cap = max(integrator.steps, 2) + 1
 
     for k in range(t_grid.size):
@@ -1043,11 +1008,7 @@ def simulate_transient_with_sensitivity(dae, x0, t_start, t_stop,
         S = s_new
 
         stats["steps"] += 1
-        accepted_since_store += 1
-        if accepted_since_store >= opts.store_every or t >= t_stop:
-            stored_t.append(t)
-            stored_x.append(x.copy())
-            accepted_since_store = 0
+        recorder.record(t, x)
 
     stats["newton_fallbacks"] = controller.fallbacks
     stats["jacobian_factorizations"] += controller.factorizations()
@@ -1055,12 +1016,7 @@ def simulate_transient_with_sensitivity(dae, x0, t_start, t_stop,
     if controller.core.recovery:
         stats["recovery"] = controller.core.recovery.as_dict()
 
-    result = TransientResult(
-        np.asarray(stored_t),
-        np.asarray(stored_x),
-        dae.variable_names,
-        stats,
-    )
+    result = TransientResult(*recorder.arrays(), dae.variable_names, stats)
     return TransientSensitivityResult(
         result, S, sens_history[-1][3] if period_sensitivity else None
     )

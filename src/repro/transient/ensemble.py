@@ -58,7 +58,7 @@ from repro.transient.engine import (
     _extrapolate,
 )
 from repro.transient.integrators import get_integrator
-from repro.transient.results import TransientResult
+from repro.transient.results import TrajectoryRecorder, TransientResult
 from repro.utils.validation import check_positive
 
 
@@ -673,10 +673,12 @@ def _run_lockstep(ensemble, states, t_start, t_stop, opts, integrator,
             "vectorised NumPy lock-step march"
         )
 
-    copy_host = backend.to_host_copy if is_device else (lambda a: a.copy())
     run_start = time.perf_counter()
-    stored_t = [t]
-    stored_x = [copy_host(states)]
+    recorder = TrajectoryRecorder(
+        [t], [backend.to_host(states)], opts.store_every, t_stop
+    )
+    if t_grid is not None:
+        recorder.reserve(n_steps)
     stats = {
         "steps": 0,
         "newton_iterations": 0,
@@ -687,8 +689,12 @@ def _run_lockstep(ensemble, states, t_start, t_stop, opts, integrator,
         "kernel": kernel_info,
         "backend": backend_info,
     }
-    accepted_since_store = 0
     history_cap = max(integrator.steps, 2) + 1
+
+    def partial_result():
+        return EnsembleTransientResult(
+            *recorder.arrays(), ensemble.variable_names, stats=dict(stats)
+        )
 
     def _kernel_march():
         """Advance through the compiled batched sweep; False on handback.
@@ -700,7 +706,7 @@ def _run_lockstep(ensemble, states, t_start, t_stop, opts, integrator,
         fills.  After a handback the python loop replays the failing
         step (rescue included) and the march re-enters on the next one.
         """
-        nonlocal t, states, dt, grid_idx, accepted_since_store, history
+        nonlocal t, states, dt, grid_idx, history
         runner = kernel_runner
         chord_stats = controller.chord.stats
         while grid_idx < n_steps:
@@ -717,22 +723,9 @@ def _run_lockstep(ensemble, states, t_start, t_stop, opts, integrator,
             kernel_info["compiled_steps"] += done
             runner.sync_controller(controller)
             if done:
-                out = runner.out_x
-                if opts.store_every == 1:
-                    stored_t.extend(
-                        float(v) for v in t_grid[grid_idx:grid_idx + done]
-                    )
-                    stored_x.extend(out[j].copy() for j in range(done))
-                    accepted_since_store = 0
-                else:
-                    for j in range(done):
-                        accepted_since_store += 1
-                        tj = float(t_grid[grid_idx + j])
-                        if (accepted_since_store >= opts.store_every
-                                or tj >= t_stop):
-                            stored_t.append(tj)
-                            stored_x.append(out[j].copy())
-                            accepted_since_store = 0
+                recorder.record_block(
+                    t_grid[grid_idx:grid_idx + done], runner.out_x[:done]
+                )
                 grid_idx += done
                 t = float(t_grid[grid_idx - 1])
                 prev = t_grid[grid_idx - 2] if grid_idx >= 2 else t_start
@@ -746,12 +739,7 @@ def _run_lockstep(ensemble, states, t_start, t_stop, opts, integrator,
                         step=stats["steps"],
                         time=t,
                         dt=dt,
-                        partial_result=EnsembleTransientResult(
-                            stored_t,
-                            stored_x,
-                            ensemble.variable_names,
-                            stats=dict(stats),
-                        ),
+                        partial_result=partial_result(),
                     )
             if status != 0:
                 kernel_info["reason"] = (
@@ -797,12 +785,7 @@ def _run_lockstep(ensemble, states, t_start, t_stop, opts, integrator,
                     step=stats["steps"],
                     time=t,
                     dt=2 * dt,
-                    partial_result=EnsembleTransientResult(
-                        stored_t,
-                        stored_x,
-                        ensemble.variable_names,
-                        stats=dict(stats),
-                    ),
+                    partial_result=partial_result(),
                 )
             continue
 
@@ -815,23 +798,14 @@ def _run_lockstep(ensemble, states, t_start, t_stop, opts, integrator,
             grid_idx += 1
 
         stats["steps"] += 1
-        accepted_since_store += 1
-        if accepted_since_store >= opts.store_every or t >= t_stop:
-            stored_t.append(t)
-            stored_x.append(copy_host(states))
-            accepted_since_store = 0
+        recorder.record(t, backend.to_host(states))
         if stats["steps"] >= opts.max_steps:
             raise SimulationError(
                 f"exceeded max_steps={opts.max_steps} at t={t:.6e}",
                 step=stats["steps"],
                 time=t,
                 dt=dt,
-                partial_result=EnsembleTransientResult(
-                    stored_t,
-                    stored_x,
-                    ensemble.variable_names,
-                    stats=dict(stats),
-                ),
+                partial_result=partial_result(),
             )
 
     kernel_info["python_steps"] = (
@@ -867,10 +841,7 @@ def _run_lockstep(ensemble, states, t_start, t_stop, opts, integrator,
     ]
 
     return EnsembleTransientResult(
-        np.asarray(stored_t),
-        np.asarray(stored_x),
-        ensemble.variable_names,
-        stats,
+        *recorder.arrays(), ensemble.variable_names, stats
     )
 
 

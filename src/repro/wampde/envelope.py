@@ -48,6 +48,7 @@ from repro.linalg.sparse_tools import kron_diffmat
 from repro.resilience.checkpoint import Checkpoint, CheckpointManager
 from repro.phase_conditions import as_phase_condition
 from repro.spectral.diffmat import fourier_differentiation_matrix
+from repro.transient.results import TrajectoryRecorder
 from repro.utils.validation import check_odd, check_positive
 from repro.wampde.bivariate import BivariateWaveform
 from repro.wampde.warping import WarpingFunction
@@ -548,6 +549,18 @@ def solve_wampde_envelope(dae, initial_samples, omega0, t2_start, t2_stop,
         every=int(getattr(opts, "checkpoint_every", 0) or 0),
         path=getattr(opts, "checkpoint_path", None),
     )
+    # The final step's t2, computed exactly as the march computes it, so
+    # the recorders always keep the last row.
+    t2_end = t2_start + num_steps * h
+
+    def recorders(t2s, omegas, samples, carried=0):
+        # omega(t2) and the samples share one store_every decision.
+        return tuple(
+            TrajectoryRecorder(
+                t2s, rows, opts.store_every, t2_end, carried=carried
+            )
+            for rows in (omegas, samples)
+        )
 
     if resume_from is not None:
         checkpoint = (
@@ -564,29 +577,32 @@ def solve_wampde_envelope(dae, initial_samples, omega0, t2_start, t2_stop,
         x_samples = np.array(payload["x_samples"], dtype=float)
         omega = float(payload["omega"])
         t2 = float(payload["t2"])
-        stored_t2 = list(payload["stored_t2"])
-        stored_omega = list(payload["stored_omega"])
-        stored_samples = [np.array(s, dtype=float)
-                          for s in payload["stored_samples"]]
+        omega_rec, samples_rec = recorders(
+            payload["stored_t2"], payload["stored_omega"],
+            payload["stored_samples"], int(payload["since_store"]),
+        )
         stats = dict(payload["stats"])
-        since_store = int(payload["since_store"])
         start_step = int(checkpoint.step)
         stepper.restore(payload["solver"], payload["factor_meta"])
     else:
         x_samples = initial_samples.copy()
         omega = float(omega0)
         t2 = float(t2_start)
-        stored_t2 = [t2]
-        stored_omega = [omega]
-        stored_samples = [x_samples.copy()]
+        omega_rec, samples_rec = recorders([t2], [omega], [x_samples])
         stats = {"steps": 0, "newton_iterations": 0}
-        since_store = 0
         start_step = 0
         _adopt_warm_solver(stepper, warm_start)
+    for recorder in (omega_rec, samples_rec):
+        recorder.reserve(num_steps - start_step)
     stats["kernel"] = kernel_info
     rhs_old, q_old = stepper.rhs_terms(x_samples, omega, t2)
 
+    def stored():
+        t2s, omegas = omega_rec.arrays()
+        return t2s, omegas, samples_rec.arrays()[1]
+
     def take_checkpoint():
+        stored_t2, stored_omega = omega_rec.snapshot()
         return Checkpoint(
             kind="wampde_envelope",
             step=stats["steps"],
@@ -596,11 +612,11 @@ def solve_wampde_envelope(dae, initial_samples, omega0, t2_start, t2_stop,
                 "x_samples": x_samples.copy(),
                 "omega": omega,
                 "t2": t2,
-                "stored_t2": list(stored_t2),
-                "stored_omega": list(stored_omega),
-                "stored_samples": [s.copy() for s in stored_samples],
+                "stored_t2": stored_t2,
+                "stored_omega": stored_omega,
+                "stored_samples": samples_rec.snapshot()[1],
                 "stats": dict(stats),
-                "since_store": since_store,
+                "since_store": omega_rec.carried,
                 "t2_start": t2_start,
                 "t2_stop": t2_stop,
                 "num_steps": num_steps,
@@ -628,20 +644,15 @@ def solve_wampde_envelope(dae, initial_samples, omega0, t2_start, t2_stop,
                 residual_norm=exc.residual_norm,
                 checkpoint=manager.take(take_checkpoint),
                 partial_result=WampdeEnvelopeResult(
-                    stored_t2, stored_omega, stored_samples,
-                    dae.variable_names, partial_stats,
+                    *stored(), dae.variable_names, partial_stats,
                 ),
             ) from exc
         stats["newton_iterations"] += iterations
         t2 = t2_new
         rhs_old, q_old = stepper.rhs_terms(x_samples, omega, t2)
         stats["steps"] += 1
-        since_store += 1
-        if since_store >= opts.store_every or step_index == num_steps - 1:
-            stored_t2.append(t2)
-            stored_omega.append(omega)
-            stored_samples.append(x_samples.copy())
-            since_store = 0
+        omega_rec.record(t2, omega)
+        samples_rec.record(t2, x_samples)
         manager.offer(stats["steps"], take_checkpoint)
 
     stats["solver"] = stepper.core.stats.as_dict()
@@ -651,13 +662,7 @@ def solve_wampde_envelope(dae, initial_samples, omega0, t2_start, t2_stop,
         "factor_meta": stepper.factor_metadata(),
         "solver_state": stepper.core.export_warm_state(),
     }
-    return WampdeEnvelopeResult(
-        np.asarray(stored_t2),
-        np.asarray(stored_omega),
-        np.asarray(stored_samples),
-        dae.variable_names,
-        stats,
-    )
+    return WampdeEnvelopeResult(*stored(), dae.variable_names, stats)
 
 
 def solve_wampde_envelope_adaptive(dae, initial_samples, omega0, t2_start,

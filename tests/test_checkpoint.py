@@ -204,6 +204,36 @@ class TestWampdeEnvelopeResume:
             == reference.stats["newton_iterations"]
         )
 
+    def test_decimated_march_resume_is_bit_identical(
+        self, vdp_limit_cycle, tmp_path
+    ):
+        # store_every=3 with a cadence of 16 leaves one step carried
+        # across the checkpoint; the last t2 row is always kept.
+        dae, hb = vdp_limit_cycle
+        path = tmp_path / "envelope.ckpt"
+
+        def options(**kw):
+            return WampdeEnvelopeOptions(store_every=3, **kw)
+
+        reference = solve_wampde_envelope(
+            dae, hb.samples, hb.frequency, 0.0, 15.0, 31, options()
+        )
+        assert reference.t2.size == 1 + 31 // 3 + 1
+        assert reference.t2[-1] == pytest.approx(15.0, rel=1e-14)
+        solve_wampde_envelope(
+            dae, hb.samples, hb.frequency, 0.0, 15.0, 31,
+            options(checkpoint_every=16, checkpoint_path=path),
+        )
+        checkpoint = Checkpoint.load(path)
+        assert checkpoint.payload["since_store"] == 16 % 3
+        resumed = solve_wampde_envelope(
+            dae, hb.samples, hb.frequency, 0.0, 15.0, 31, options(),
+            resume_from=checkpoint,
+        )
+        assert np.array_equal(resumed.t2, reference.t2)
+        assert np.array_equal(resumed.omega, reference.omega)
+        assert np.array_equal(resumed.samples, reference.samples)
+
     def test_step_failure_carries_checkpoint_and_partial(
         self, vdp_limit_cycle
     ):
@@ -292,6 +322,30 @@ class TestMpdeEnvelopeResume:
         assert checkpoint.step == 50
         resumed = solve_mpde_envelope(
             dae, forcing, initial, 0.0, 1.0, 60, resume_from=checkpoint
+        )
+        assert np.array_equal(resumed.t2, reference.t2)
+        assert np.array_equal(resumed.samples, reference.samples)
+
+    def test_decimated_resume_is_bit_identical(self, tmp_path):
+        dae, forcing = self.setup_problem()
+        initial = np.zeros((9, 1))
+        path = tmp_path / "mpde.ckpt"
+        reference = solve_mpde_envelope(
+            dae, forcing, initial, 0.0, 1.0, 60,
+            MpdeEnvelopeOptions(store_every=7),
+        )
+        assert reference.t2.size == 1 + 60 // 7 + 1
+        solve_mpde_envelope(
+            dae, forcing, initial, 0.0, 1.0, 60,
+            MpdeEnvelopeOptions(
+                store_every=7, checkpoint_every=25, checkpoint_path=path
+            ),
+        )
+        checkpoint = Checkpoint.load(path)
+        assert checkpoint.payload["since_store"] == 50 % 7
+        resumed = solve_mpde_envelope(
+            dae, forcing, initial, 0.0, 1.0, 60,
+            MpdeEnvelopeOptions(store_every=7), resume_from=checkpoint,
         )
         assert np.array_equal(resumed.t2, reference.t2)
         assert np.array_equal(resumed.samples, reference.samples)

@@ -523,6 +523,117 @@ class TestAdaptiveCompiled:
         )
 
 
+class TestCompiledDecimation:
+    """``store_every`` on the compiled chunks keeps the python loop's rows.
+
+    The compiled marches hand whole blocks of accepted steps to the
+    trajectory recorder; decimation there must pick exactly the rows the
+    python loop keeps one step at a time, and always keep the ``t_stop``
+    row last.
+    """
+
+    @staticmethod
+    def _assert_same_rows(ref, com, horizon):
+        assert com.stats["kernel"]["mode"] != "python"
+        assert com.stats["kernel"]["compiled_steps"] == com.stats["steps"]
+        np.testing.assert_array_equal(ref.t, com.t)
+        scale = np.abs(ref.x).max()
+        assert np.abs(com.x - ref.x).max() / scale < 1e-9
+        assert com.t[-1] == horizon
+        assert com.t.size < com.stats["steps"] // 2
+
+    @needs_backend
+    @pytest.mark.parametrize("store_every", [7, 10**9])
+    def test_store_every_fixed_step_vco(self, store_every):
+        dae = MemsVcoDae(VcoParams.air())
+        horizon = 8 * T_NOMINAL
+
+        def run(kernel):
+            return simulate_transient(
+                dae, [1.0, 0.0, 0.0, 0.0], 0.0, horizon,
+                TransientOptions(
+                    integrator="trap", dt=T_NOMINAL / 300, kernel=kernel,
+                    store_every=store_every,
+                ),
+            )
+
+        self._assert_same_rows(run("python"), run("auto"), horizon)
+
+    @needs_backend
+    @pytest.mark.parametrize("store_every", [7, 10**9])
+    def test_store_every_adaptive_vco(self, store_every):
+        dae = MemsVcoDae(VcoParams.air(), constant_control=True)
+        horizon = T_NOMINAL / 2
+
+        def run(kernel):
+            return simulate_transient(
+                dae, [1.0, 0.0, 0.0, 0.0], 0.0, horizon,
+                TransientOptions(
+                    integrator="trap", dt=T_NOMINAL / 500, adaptive=True,
+                    rtol=1e-4, kernel=kernel, max_steps=500000,
+                    store_every=store_every,
+                ),
+            )
+
+        self._assert_same_rows(run("python"), run("auto"), horizon)
+
+    @needs_backend
+    @pytest.mark.parametrize("store_every", [7, 10**9])
+    def test_store_every_ensemble(self, store_every):
+        batch = 8
+        ens = _vco_control_ensemble(batch)
+        x0 = np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (batch, 1))
+        horizon = 20 * T_NOMINAL
+
+        def run(kernel):
+            return simulate_transient_ensemble(
+                ens, x0, 0.0, horizon,
+                TransientOptions(
+                    integrator="trap", dt=T_NOMINAL / 100, kernel=kernel,
+                    store_every=store_every,
+                ),
+            )
+
+        ref, com = run("python"), run("auto")
+        assert com.x.shape[1:] == (batch, 4)
+        self._assert_same_rows(ref, com, horizon)
+
+    @needs_backend
+    def test_store_every_checkpoint_and_resume_bit_identical(self):
+        # Cadence 123 and store_every 7 share no factor, so every chunk
+        # boundary falls mid-stride and the carried count must cross it.
+        dae = MemsVcoDae(VcoParams.air())
+        x0 = [1.0, 0.0, 0.0, 0.0]
+        horizon = 6 * T_NOMINAL
+
+        def opts(**kw):
+            return TransientOptions(
+                integrator="trap", dt=T_NOMINAL / 250, kernel="auto",
+                store_every=7, **kw
+            )
+
+        plain = simulate_transient(dae, x0, 0.0, horizon, opts())
+        chunked = simulate_transient(
+            dae, x0, 0.0, horizon, opts(checkpoint_every=123)
+        )
+        np.testing.assert_array_equal(plain.t, chunked.t)
+        np.testing.assert_array_equal(plain.x, chunked.x)
+        with pytest.raises(SimulationError) as info:
+            simulate_transient(
+                dae, x0, 0.0, horizon,
+                opts(checkpoint_every=123, max_steps=600),
+            )
+        checkpoint = info.value.checkpoint
+        assert checkpoint.payload["accepted_since_store"] == 600 % 7
+        resumed = simulate_transient(
+            dae, None, 0.0, horizon, opts(checkpoint_every=123),
+            resume_from=checkpoint,
+        )
+        assert resumed.stats["kernel"]["compiled_steps"] > 0
+        np.testing.assert_array_equal(plain.t, resumed.t)
+        np.testing.assert_array_equal(plain.x, resumed.x)
+
+
 class TestWarmStartCompiled:
     @needs_backend
     def test_warm_compiled_run_zero_refactorizations(self):

@@ -1,9 +1,16 @@
 """Tests for the transient engine: integrators, convergence orders, events."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.dae import ForcedDecayDae, HarmonicOscillatorDae, LinearRCDae
+from repro.dae import (
+    ForcedDecayDae,
+    HarmonicOscillatorDae,
+    LinearRCDae,
+    VanDerPolDae,
+)
 from repro.errors import SimulationError
 from repro.transient import (
     Bdf2,
@@ -15,6 +22,7 @@ from repro.transient import (
     zero_crossings,
 )
 from repro.transient.integrators import get_integrator
+from repro.transient.results import TrajectoryRecorder
 
 
 class TestIntegratorRegistry:
@@ -193,6 +201,131 @@ class TestTransientResult:
         final = result.final_state()
         final[:] = 99.0
         assert not np.allclose(result.x[-1], 99.0)
+
+
+def _kept_by_rule(times, store_every, t_stop, carried=0):
+    """Indices the per-step store_every rule keeps, plus the final count."""
+    kept = []
+    for j, tj in enumerate(times):
+        carried += 1
+        if carried >= store_every or tj >= t_stop:
+            kept.append(j)
+            carried = 0
+    return kept, carried
+
+
+class TestTrajectoryRecorder:
+    T_STOP = 1.0
+
+    def steps(self, count=100, shape=(3,)):
+        rng = np.random.default_rng(7)
+        times = np.linspace(self.T_STOP / count, self.T_STOP, count)
+        return times, rng.normal(size=(count,) + shape)
+
+    @pytest.mark.parametrize("store_every", [1, 3, 7, 10**9])
+    def test_mixed_row_and_block_appends_follow_per_step_rule(
+            self, store_every):
+        times, rows = self.steps()
+        row0 = np.zeros(3)
+        recorder = TrajectoryRecorder(
+            [0.0], [row0], store_every, self.T_STOP
+        )
+        recorder.reserve(times.size)
+        rng = np.random.default_rng(11)
+        cuts = np.sort(rng.choice(np.arange(1, times.size), 9, replace=False))
+        bounds = [0, *cuts, times.size]
+        early = None
+        for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            if i % 2:
+                for j in range(lo, hi):
+                    recorder.record(times[j], rows[j])
+            else:
+                recorder.record_block(times[lo:hi], rows[lo:hi])
+            if i == 4:
+                early = [a.copy() for a in recorder.arrays()]
+                early_views = recorder.arrays()
+        kept, carried = _kept_by_rule(times, store_every, self.T_STOP)
+        t, x = recorder.arrays()
+        np.testing.assert_array_equal(t, np.concatenate(([0.0], times[kept])))
+        np.testing.assert_array_equal(x, np.vstack([row0, rows[kept]]))
+        assert t[-1] == self.T_STOP
+        assert recorder.carried == carried == 0
+        # Later records never write into rows handed out earlier.
+        np.testing.assert_array_equal(early_views[0], early[0])
+        np.testing.assert_array_equal(early_views[1], early[1])
+
+    def test_counter_carries_across_unaligned_blocks(self):
+        times, rows = self.steps(count=40, shape=(2, 3))
+        recorder = TrajectoryRecorder(
+            [0.0], np.zeros((1, 2, 3)), 7, self.T_STOP
+        )
+        lo = 0
+        for length in (5, 4, 6, 3, 11):
+            recorder.record_block(times[lo:lo + length], rows[lo:lo + length])
+            lo += length
+            kept, carried = _kept_by_rule(times[:lo], 7, self.T_STOP)
+            assert recorder.carried == carried
+            assert recorder.snapshot()[0].size == 1 + len(kept)
+        recorder.record_block(times[lo:], rows[lo:])
+        kept, _ = _kept_by_rule(times, 7, self.T_STOP)
+        assert kept == [6, 13, 20, 27, 34, 39]
+        t, x = recorder.arrays()
+        assert x.shape == (7, 2, 3)
+        np.testing.assert_array_equal(t[1:], times[kept])
+        np.testing.assert_array_equal(x[1:], rows[kept])
+
+    def test_snapshot_restore_round_trip(self):
+        times, rows = self.steps()
+        live = TrajectoryRecorder([0.0], [np.zeros(3)], 6, self.T_STOP)
+        live.record_block(times[:45], rows[:45])
+        stored_t, stored_x = live.snapshot()
+        assert stored_t.size == 1 + 45 // 6
+        assert live.carried == 45 % 6
+        restored = TrajectoryRecorder(
+            stored_t, stored_x, 6, self.T_STOP, carried=live.carried
+        )
+        for recorder in (live, restored):
+            recorder.record_block(times[45:70], rows[45:70])
+            for j in range(70, times.size):
+                recorder.record(times[j], rows[j])
+        for a, b in zip(live.arrays(), restored.arrays()):
+            np.testing.assert_array_equal(a, b)
+
+    def test_rejects_misaligned_rows(self):
+        with pytest.raises(ValueError, match="stored"):
+            TrajectoryRecorder([0.0, 1.0], np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_resume_from_list_of_rows_payload(self, adaptive):
+        dae = VanDerPolDae(mu=3.0)
+        x0 = [2.0, 0.0]
+
+        def options(**kw):
+            return TransientOptions(
+                integrator="trap", dt=1e-2, adaptive=adaptive,
+                store_every=3, checkpoint_every=50, **kw
+            )
+
+        full = simulate_transient(dae, x0, 0.0, 4.0, options())
+        with pytest.raises(SimulationError, match="max_steps") as info:
+            simulate_transient(dae, x0, 0.0, 4.0, options(max_steps=170))
+        checkpoint = info.value.checkpoint
+        payload = checkpoint.payload
+        assert isinstance(payload["stored_x"], np.ndarray)
+        assert payload["accepted_since_store"] != 0
+        # The payload format older checkpoints carry: python lists of
+        # per-step times and state rows.
+        legacy = replace(checkpoint, payload=dict(
+            payload,
+            stored_t=[float(v) for v in payload["stored_t"]],
+            stored_x=[np.array(row) for row in payload["stored_x"]],
+        ))
+        for resume_from in (checkpoint, legacy):
+            resumed = simulate_transient(
+                dae, None, 0.0, 4.0, options(), resume_from=resume_from
+            )
+            np.testing.assert_array_equal(resumed.t, full.t)
+            np.testing.assert_array_equal(resumed.x, full.x)
 
 
 class TestEvents:
